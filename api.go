@@ -308,22 +308,12 @@ func GraphKey(g *Graph) GraphContentKey { return plan.GraphKey(g) }
 // receives the plan.* metrics.
 func NewPlanCache(max int, sink MetricsSink) *PlanCache { return plan.NewCache(max, sink) }
 
-// compiledScheduler is implemented by schedulers with a compiled-plan
-// entry point (the FAST family via FindCompiled/ScheduleCompiled, and
-// the ETF/DLS/HLFET/DSC baselines via ScheduleCompiled).
-type compiledScheduler interface {
-	ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-}
-
-// ScheduleCompiled schedules a pre-compiled graph with s when s has a
-// compiled-plan entry point, falling back to s.Schedule(cg.Graph, ...)
-// otherwise. Either way the result is bit-identical to s.Schedule on
-// the original graph.
+// ScheduleCompiled schedules a pre-compiled graph with s through its
+// compiled-plan entry point when it has one, falling back to
+// s.Schedule(cg.Graph, ...) otherwise. Either way the result is
+// bit-identical to s.Schedule on the original graph.
 func ScheduleCompiled(s Scheduler, cg *CompiledGraph, procs int) (*Schedule, error) {
-	if cs, ok := s.(compiledScheduler); ok {
-		return cs.ScheduleCompiled(cg, procs)
-	}
-	return s.Schedule(cg.Graph, procs)
+	return casch.ScheduleCompiled(nil, s, cg, procs)
 }
 
 // Batch serving. The batch engine schedules many DAGs concurrently

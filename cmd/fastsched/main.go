@@ -335,8 +335,8 @@ func runBatch(o options) error {
 // loadGraph reads -in in the requested (or extension-detected) format.
 // STG and edge-list inputs go through the streaming CSR readers, then
 // materialize a *Graph for the interactive pipeline — ToGraph replays
-// the CSR in the legacy adjacency order, so the schedule is identical
-// to one computed from an equivalent JSON input.
+// the CSR in its canonical adjacency order, so the schedule is
+// identical to one computed from an equivalent JSON input.
 func loadGraph(o options) (*fastsched.Graph, string, error) {
 	format := o.informat
 	if format == "" {

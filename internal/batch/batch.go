@@ -132,14 +132,8 @@ type Options struct {
 	CacheSize int
 	// PlanCacheSize bounds the graph-compilation cache in compiled
 	// graphs (default plan.DefaultCacheSize); negative disables it, in
-	// which case every run re-derives the graph artifacts ad hoc.
+	// which case every run compiles its graph afresh, uncached.
 	PlanCacheSize int
-	// DisableCompilation forces the legacy serving path: no plan cache
-	// and no compiled dispatch, every request re-analyzing its graph
-	// from scratch. Results are bit-identical either way (pinned by the
-	// differential tests); the switch exists for benchmarking the
-	// compiled path against the pre-compilation engine.
-	DisableCompilation bool
 	// Metrics, when non-nil, receives the engine's telemetry under the
 	// batch.* namespace. Nil disables it at the usual obs zero cost.
 	Metrics obs.Sink
@@ -153,7 +147,7 @@ type Engine struct {
 	wg     sync.WaitGroup // workers
 	subWG  sync.WaitGroup // blocking submitters not yet enqueued
 	cache  *cache
-	plans  *plan.Cache // compiled-graph cache; nil when compilation is off
+	plans  *plan.Cache // compiled-graph cache; nil when PlanCacheSize < 0
 	flight *flightGroup
 
 	mu     sync.Mutex
@@ -202,7 +196,7 @@ func New(opts Options) *Engine {
 	if opts.CacheSize > 0 {
 		e.cache = newCache(opts.CacheSize)
 	}
-	if !opts.DisableCompilation && opts.PlanCacheSize >= 0 {
+	if opts.PlanCacheSize >= 0 {
 		e.plans = plan.NewCache(opts.PlanCacheSize, opts.Metrics)
 	}
 	if s := opts.Metrics; s != nil {
@@ -232,8 +226,8 @@ func New(opts Options) *Engine {
 // and the re-check is pure overhead. The SHA-256 computed for that
 // lookup is returned alongside (hasGK) and carried on the job into
 // execute, preserving the hash-once-per-request contract. A cache miss
-// — first sight of a graph, an evicted entry, or a compilation-disabled
-// engine — always runs the full structural check.
+// — first sight of a graph, an evicted entry, or an engine without a
+// plan cache — always runs the full structural check.
 func (e *Engine) validate(req Request) (gk plan.Key, hasGK bool, err error) {
 	if req.Graph == nil {
 		return gk, false, ErrNilGraph
@@ -499,10 +493,11 @@ func (e *Engine) execute(j *job) Result {
 }
 
 // run performs one cold scheduling run under the request's context and
-// deadline. With the plan cache enabled, schedulers that accept a
-// compiled graph are dispatched through it — the compilation happens
-// (and is cached) once per unique graph; the produced schedules are
-// bit-identical to the ad-hoc path (pinned by the differential tests).
+// deadline, dispatched through the graph's compiled plan — fetched from
+// (or compiled into) the plan cache once per unique graph, or compiled
+// per request when the engine has no plan cache. The produced schedules
+// are bit-identical to s.Schedule on the request graph (pinned by the
+// differential tests).
 func (e *Engine) run(ctx context.Context, req Request, gk plan.Key) (*sched.Schedule, error) {
 	s, err := casch.NewScheduler(req.Algorithm, req.Seed)
 	if err != nil {
@@ -522,49 +517,18 @@ func (e *Engine) run(ctx context.Context, req Request, gk plan.Key) (*sched.Sche
 		ctx, cancel = context.WithTimeout(ctx, req.Deadline)
 		defer cancel()
 	}
-	type compiledFinder interface {
-		FindCompiled(ctx context.Context, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-	}
-	type compiledScheduler interface {
-		ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error)
-	}
-	type finder interface {
-		Find(ctx context.Context, g *dag.Graph, procs int) (*sched.Schedule, error)
-	}
 	var cg *plan.CompiledGraph
 	if e.plans != nil {
-		switch s.(type) {
-		case compiledFinder, compiledScheduler:
-			if cg, err = e.plans.GetKeyed(req.Graph, gk); err != nil {
-				// Unreachable after validate (Compile only fails on empty
-				// or cyclic graphs), but don't run with a nil plan.
-				return nil, fmt.Errorf("%w: %v", ErrBadGraph, err)
-			}
-		}
-	}
-	var out *sched.Schedule
-	var err2 error
-	if cg != nil {
-		// cg is only compiled when s matched one of the two interfaces.
-		switch cs := s.(type) {
-		case compiledFinder: // the FAST family: context plumbed through
-			out, err2 = cs.FindCompiled(ctx, cg, req.Procs)
-		case compiledScheduler:
-			// Compiled baselines have no context plumbing; honour the
-			// context at the request boundary at least.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			out, err2 = cs.ScheduleCompiled(cg, req.Procs)
-		}
-	} else if f, ok := s.(finder); ok {
-		out, err2 = f.Find(ctx, req.Graph, req.Procs)
+		cg, err = e.plans.GetKeyed(req.Graph, gk)
 	} else {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		out, err2 = s.Schedule(req.Graph, req.Procs)
+		cg, err = plan.Compile(req.Graph)
 	}
+	if err != nil {
+		// Unreachable after validate (Compile only fails on empty or
+		// cyclic graphs), but don't run without a plan.
+		return nil, fmt.Errorf("%w: %v", ErrBadGraph, err)
+	}
+	out, err2 := casch.ScheduleCompiled(ctx, s, cg, req.Procs)
 	if out != nil && err2 == nil {
 		if verr := sched.Validate(req.Graph, out); verr != nil {
 			return nil, fmt.Errorf("batch: %s produced an invalid schedule: %w", req.Algorithm, verr)

@@ -13,9 +13,8 @@ import (
 
 // throughputRequests builds the 200-request serving workload of the
 // throughput benchmarks: 40 distinct mid-size random DAGs × 5 seeds.
-// 40 unique graphs means the compiled path's plan cache reaches steady
-// state (40 entries, hit on every subsequent request) while the legacy
-// path re-analyzes each graph on all 5 of its requests.
+// 40 unique graphs means the plan cache reaches steady state (40
+// entries, hit on every subsequent request).
 func throughputRequests(b *testing.B) []Request {
 	b.Helper()
 	reqs := make([]Request, 0, 200)
@@ -58,33 +57,24 @@ func runBatch(b *testing.B, e *Engine, reqs []Request) {
 }
 
 // BenchmarkBatchThroughput measures end-to-end engine throughput on
-// the 200-request workload. The "compiled" variants use the
-// compiled-plan serving path; "legacy" forces per-request graph
-// re-analysis (the pre-compilation engine). The result cache is
-// disabled in both so every request performs a real scheduling run —
-// the quantity under test is scheduling throughput, not cache hits.
-// scripts/bench.sh derives requests/second and the compiled/legacy
-// speedup from these numbers into BENCH_throughput.json.
+// the 200-request workload through the compiled-plan serving path. The
+// result cache is disabled so every request performs a real scheduling
+// run — the quantity under test is scheduling throughput, not cache
+// hits. scripts/bench.sh derives requests/second from these numbers
+// into BENCH_throughput.json.
 func BenchmarkBatchThroughput(b *testing.B) {
 	reqs := throughputRequests(b)
 	for _, workers := range []int{1, 4, 8} {
-		for _, mode := range []string{"compiled", "legacy"} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(b *testing.B) {
-				e := New(Options{
-					Workers:            workers,
-					QueueDepth:         len(reqs),
-					CacheSize:          -1,
-					DisableCompilation: mode == "legacy",
-				})
-				defer e.Close()
-				runBatch(b, e, reqs) // warm: plan cache + scratch pools
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					runBatch(b, e, reqs)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("compiled/workers=%d", workers), func(b *testing.B) {
+			e := New(Options{Workers: workers, QueueDepth: len(reqs), CacheSize: -1})
+			defer e.Close()
+			runBatch(b, e, reqs) // warm: plan cache + scratch pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runBatch(b, e, reqs)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"fastsched/internal/workload"
 )
 
-// diffWorkloads are the three graph shapes of the compiled-vs-legacy
+// diffWorkloads are the three graph shapes of the engine-vs-direct
 // differential: a layered random DAG, a fork-join, and a communication-
 // heavy chain. All stay at <= 8 nodes so the exhaustive "opt" scheduler
 // remains tractable (matching the metamorphic suite's MaxNodes).
@@ -56,16 +56,17 @@ func diffWorkloads(t *testing.T) map[string]*dag.Graph {
 	}
 }
 
-// TestCompiledMatchesLegacy pins the tentpole's bit-identity claim:
+// TestCompiledMatchesLegacy pins the engine's bit-identity contract:
 // for every registry scheduler, every workload and every seed, the
-// compiled-plan serving path produces exactly the schedule the legacy
-// (per-request re-analysis) path produces — same placements, same
-// floats, not just equal makespans.
+// compiled-plan serving path — through the plan cache, and compiled
+// per request without one — produces exactly the schedule a direct
+// s.Schedule(g, procs) call produces: same placements, same floats,
+// not just equal makespans.
 func TestCompiledMatchesLegacy(t *testing.T) {
-	compiled := New(Options{Workers: 2})
-	defer compiled.Close()
-	legacy := New(Options{Workers: 2, DisableCompilation: true})
-	defer legacy.Close()
+	cached := New(Options{Workers: 2})
+	defer cached.Close()
+	uncached := New(Options{Workers: 2, PlanCacheSize: -1})
+	defer uncached.Close()
 
 	graphs := diffWorkloads(t)
 	ctx := context.Background()
@@ -80,15 +81,21 @@ func TestCompiledMatchesLegacy(t *testing.T) {
 					Seed:      seed,
 					NoCache:   true, // force a real scheduling run each time
 				}
-				got := compiled.Do(ctx, req)
-				want := legacy.Do(ctx, req)
-				if (got.Err == nil) != (want.Err == nil) {
-					t.Fatalf("%s: compiled err=%v, legacy err=%v", req.ID, got.Err, want.Err)
+				s, err := casch.NewScheduler(alg, seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got.Err != nil {
-					continue
+				want, err := s.Schedule(g, req.Procs)
+				if err != nil {
+					t.Fatalf("%s: direct: %v", req.ID, err)
 				}
-				assertSameSchedule(t, req.ID, got.Schedule, want.Schedule)
+				for _, e := range []*Engine{cached, uncached} {
+					got := e.Do(ctx, req)
+					if got.Err != nil {
+						t.Fatalf("%s: engine: %v", req.ID, got.Err)
+					}
+					assertSameSchedule(t, req.ID, got.Schedule, want)
+				}
 			}
 		}
 	}
@@ -107,7 +114,7 @@ func assertSameSchedule(t *testing.T, id string, got, want *sched.Schedule) {
 		n := dag.NodeID(i)
 		gp, wp := got.Of(n), want.Of(n)
 		if gp != wp {
-			t.Fatalf("%s: node %d placed %+v by compiled path, %+v by legacy", id, n, gp, wp)
+			t.Fatalf("%s: node %d placed %+v, want %+v", id, n, gp, wp)
 		}
 	}
 	if got.Length() != want.Length() {

@@ -6,6 +6,7 @@
 package casch
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"fastsched/internal/md"
 	"fastsched/internal/mh"
 	"fastsched/internal/optimal"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 	"fastsched/internal/sim"
 )
@@ -70,6 +72,33 @@ func Run(g *dag.Graph, s sched.Scheduler, procs int, machine sim.Config) (*Resul
 		r.Speedup = g.TotalWork() / report.Time
 	}
 	return r, nil
+}
+
+// ScheduleCompiled schedules the compiled graph cg with s through the
+// richest entry point s has: FindCompiled under ctx (the FAST family,
+// which returns its best partial schedule on cancellation), then
+// ScheduleCompiled (the baselines with a plan entry point), then plain
+// Schedule on cg.Graph. Whichever runs, the result is bit-identical to
+// s.Schedule(cg.Graph, procs). Schedulers without context plumbing
+// honour ctx at the call boundary only. A nil ctx skips FindCompiled,
+// leaving a FAST scheduler's own configured context in charge.
+func ScheduleCompiled(ctx context.Context, s sched.Scheduler, cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	if f, ok := s.(interface {
+		FindCompiled(context.Context, *plan.CompiledGraph, int) (*sched.Schedule, error)
+	}); ok && ctx != nil {
+		return f.FindCompiled(ctx, cg, procs)
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if cs, ok := s.(interface {
+		ScheduleCompiled(*plan.CompiledGraph, int) (*sched.Schedule, error)
+	}); ok {
+		return cs.ScheduleCompiled(cg, procs)
+	}
+	return s.Schedule(cg.Graph, procs)
 }
 
 // NewScheduler constructs a scheduler by its table name, as used by the

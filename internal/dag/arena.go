@@ -3,14 +3,14 @@ package dag
 // ScaleArena is the reusable scratch allocator of the million-node
 // pipeline. Every dense array the streaming readers and the compact
 // kernels need — int32 index tables, float64 level/weight tables, bool
-// bitmaps, Class partitions — is acquired from the arena instead of
+// bitmaps — is acquired from the arena instead of
 // make, so a serving loop that parses and schedules the same-shaped
 // graph repeatedly allocates only on the first (cold) pass and runs
 // allocation-free warm.
 //
 // The contract:
 //
-//   - Acquire methods (I32, F64, Bool, Cls) return a zeroed slice of
+//   - Acquire methods (I32, F64, Bool) return a zeroed slice of
 //     the requested length, so code written against make's
 //     zero-initialization semantics is bit-identical with or without an
 //     arena.
@@ -28,8 +28,8 @@ package dag
 //     from them: callers must be done with the previous run's outputs
 //     before resetting.
 //
-// A nil *ScaleArena is valid everywhere and falls back to plain make —
-// the legacy single-shot behavior, safe for concurrent use. A non-nil
+// A nil *ScaleArena is valid everywhere and falls back to plain make,
+// safe for concurrent use. A non-nil
 // arena is single-goroutine scratch: no locking, no sharing.
 //
 // Acquire is best-fit over the free list (smallest capacity that
@@ -41,7 +41,6 @@ type ScaleArena struct {
 	i32   slabPool[int32]
 	f64   slabPool[float64]
 	bools slabPool[bool]
-	cls   slabPool[Class]
 
 	// scanBuf and fields are the streaming readers' line scratch: the
 	// bufio.Scanner buffer and the per-line field-split table. One of
@@ -91,14 +90,6 @@ func (a *ScaleArena) Bool(n int) []bool {
 		return make([]bool, n)
 	}
 	return a.bools.acquire(n)
-}
-
-// Cls returns a zeroed []Class of length n.
-func (a *ScaleArena) Cls(n int) []Class {
-	if a == nil {
-		return make([]Class, n)
-	}
-	return a.cls.acquire(n)
 }
 
 // AppendI32 appends x to s, growing through the arena when capacity is
@@ -152,7 +143,6 @@ func (a *ScaleArena) Reset() {
 	a.i32.reset()
 	a.f64.reset()
 	a.bools.reset()
-	a.cls.reset()
 }
 
 // Footprint returns the total bytes of all slabs the arena currently
@@ -170,9 +160,6 @@ func (a *ScaleArena) Footprint() int64 {
 	}
 	for _, s := range a.bools.slabs {
 		b += int64(cap(s))
-	}
-	for _, s := range a.cls.slabs {
-		b += int64(cap(s)) // Class is uint8
 	}
 	return b + int64(cap(a.scanBuf))
 }

@@ -102,9 +102,7 @@ func TestScaleArenaWarmFootprintConverges(t *testing.T) {
 		a.ReleaseI32(x)
 		z := a.I32(1000)
 		_, _ = y, z
-		b := a.Bool(300)
-		c := a.Cls(300)
-		_, _ = b, c
+		_ = a.Bool(300)
 	}
 	run()
 	a.Reset()
@@ -128,9 +126,6 @@ func TestScaleArenaNilFallback(t *testing.T) {
 	}
 	if s := a.Bool(4); len(s) != 4 {
 		t.Fatalf("nil arena Bool len %d", len(s))
-	}
-	if s := a.Cls(4); len(s) != 4 {
-		t.Fatalf("nil arena Cls len %d", len(s))
 	}
 	var is []int32
 	is = a.AppendI32(is, 7)
@@ -261,18 +256,18 @@ func compareCSR(t *testing.T, want, got *CSR) {
 	eqF64("NodeW", want.NodeW, got.NodeW)
 }
 
-// TestLevelsArenaBitIdentical pins the compact kernels' arena path.
+// TestLevelsArenaBitIdentical pins the level kernel's arena path to
+// its nil-arena path, across arena reuse.
 func TestLevelsArenaBitIdentical(t *testing.T) {
 	stg := "6\n0 2 0\n1 3 1 0\n2 4 1 0\n3 1 2 1 2\n4 2.5 1 3\n5 1 2 3 1\n"
 	c, err := StreamSTG(strings.NewReader(stg), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.ComputeLevelsCompact(nil)
+	want, err := c.ComputeLevelsCompactArena(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCls := c.ClassifyCompact(want, nil)
 
 	a := NewScaleArena()
 	var shell CompactLevels
@@ -288,12 +283,6 @@ func TestLevelsArenaBitIdentical(t *testing.T) {
 		for n := range want.TLevel {
 			if got.TLevel[n] != want.TLevel[n] || got.BLevel[n] != want.BLevel[n] || got.Order[n] != want.Order[n] {
 				t.Fatalf("pass %d: levels diverge at node %d", pass, n)
-			}
-		}
-		gotCls := c.ClassifyCompactArena(got, nil, a)
-		for n := range wantCls {
-			if gotCls[n] != wantCls[n] {
-				t.Fatalf("pass %d: class diverges at node %d: %v vs %v", pass, n, gotCls[n], wantCls[n])
 			}
 		}
 	}

@@ -85,12 +85,11 @@ func BuildCSR(g *Graph) *CSR {
 }
 
 // ToGraph materializes the CSR as a *Graph for the small-graph code
-// paths (schedulers that still take *Graph, rendering, differential
-// tests). Nodes are labeled t<i>, the STG convention, matching what
-// ReadSTG produces. Edges are replayed from the predecessor arrays —
-// (child ascending, slot order), the CSR's canonical insertion order —
-// so a CSR built by StreamSTG converts to a graph whose adjacency slot
-// orders are identical to the legacy ReadSTG construction.
+// paths (schedulers that still take *Graph, rendering, ReadSTG). Nodes
+// are labeled t<i>, the STG convention. Edges are replayed from the
+// predecessor arrays — (child ascending, slot order), the CSR's
+// canonical insertion order — so BuildCSR of the result reproduces a
+// CSR in that order slot for slot.
 func (c *CSR) ToGraph() *Graph {
 	v := c.NumNodes()
 	g := New(v)
@@ -105,19 +104,11 @@ func (c *CSR) ToGraph() *Graph {
 	return g
 }
 
-// TopoOrder returns the node indices in the same deterministic
-// topological order Graph.TopologicalOrder produces (Kahn's algorithm,
-// smallest-ID-first), or ErrCycle. The compact form works entirely in
-// int32 with two O(v) arrays.
+// TopoOrder returns the node indices in the deterministic topological
+// order Graph.TopologicalOrder produces (Kahn's algorithm,
+// smallest-ID-first), or ErrCycle.
 func (c *CSR) TopoOrder() ([]int32, error) {
-	order := make([]int32, 0, c.NumNodes())
-	return c.topoOrderInto(order)
-}
-
-// topoOrderInto appends the topological order to order (which must be
-// empty but may carry capacity, letting callers reuse scratch).
-func (c *CSR) topoOrderInto(order []int32) ([]int32, error) {
-	return c.topoOrderArenaInto(order, nil)
+	return c.topoOrderArenaInto(make([]int32, 0, c.NumNodes()), nil)
 }
 
 // topoCheck verifies acyclicity with every scratch array — the order
@@ -130,9 +121,11 @@ func (c *CSR) topoCheck(a *ScaleArena) error {
 	return err
 }
 
-// topoOrderArenaInto is topoOrderInto drawing its two O(v) scratch
-// arrays from a; both are released on return (the order is not — it is
-// the caller's).
+// topoOrderArenaInto appends c's topological order to order (empty,
+// possibly with capacity) and returns it, or ErrCycle: Kahn's algorithm,
+// smallest-ID-first — the order Graph.TopologicalOrder produces — in
+// int32 throughout. Its two O(v) scratch arrays come from a (fresh on a
+// nil arena) and are released on return; the order is the caller's.
 func (c *CSR) topoOrderArenaInto(order []int32, a *ScaleArena) ([]int32, error) {
 	v := c.NumNodes()
 	indeg := a.I32(v)
@@ -215,10 +208,7 @@ func (c *CSR) Validate() error {
 	if err := c.checkMirror(); err != nil {
 		return err
 	}
-	if _, err := c.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return c.topoCheck(nil)
 }
 
 // checkMirror verifies that the succ and pred arenas describe the same

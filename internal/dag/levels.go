@@ -1,7 +1,5 @@
 package dag
 
-import "fmt"
-
 // Levels holds the per-node attributes used by scheduling heuristics.
 // All tables are indexed by NodeID.
 type Levels struct {
@@ -34,61 +32,10 @@ func cpEps(cp float64) float64 {
 }
 
 // ComputeLevels computes the t-level, b-level, static level and ALAP
-// time of every node in O(v + e) time. It returns an error if the graph
-// is cyclic or empty.
-func ComputeLevels(g *Graph) (*Levels, error) {
-	v := g.NumNodes()
-	if v == 0 {
-		return nil, fmt.Errorf("dag: cannot compute levels of an empty graph")
-	}
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	l := &Levels{
-		TLevel: make([]float64, v),
-		BLevel: make([]float64, v),
-		Static: make([]float64, v),
-		ALAP:   make([]float64, v),
-		Order:  order,
-	}
-	// t-level: forward pass. t(n) = max over parents p of t(p)+w(p)+c(p,n).
-	for _, n := range order {
-		t := 0.0
-		for _, e := range g.Pred(n) {
-			cand := l.TLevel[e.From] + g.Weight(e.From) + e.Weight
-			if cand > t {
-				t = cand
-			}
-		}
-		l.TLevel[n] = t
-	}
-	// b-level and static level: backward pass.
-	// b(n) = w(n) + max over children c of c(n,c)+b(c).
-	for i := v - 1; i >= 0; i-- {
-		n := order[i]
-		b, s := 0.0, 0.0
-		for _, e := range g.Succ(n) {
-			if cand := e.Weight + l.BLevel[e.To]; cand > b {
-				b = cand
-			}
-			if cand := l.Static[e.To]; cand > s {
-				s = cand
-			}
-		}
-		l.BLevel[n] = g.Weight(n) + b
-		l.Static[n] = g.Weight(n) + s
-	}
-	for _, n := range order {
-		if sum := l.TLevel[n] + l.BLevel[n]; sum > l.CPLen {
-			l.CPLen = sum
-		}
-	}
-	for _, n := range order {
-		l.ALAP[n] = l.CPLen - l.BLevel[n]
-	}
-	return l, nil
-}
+// time of every node in O(v + e) time on the graph's CSR form (see
+// ComputeLevelsCSR). It returns an error if the graph is cyclic or
+// empty.
+func ComputeLevels(g *Graph) (*Levels, error) { return ComputeLevelsCSR(BuildCSR(g)) }
 
 // CriticalPath returns one critical path of the graph as a sequence of
 // nodes from an entry node to an exit node, chosen deterministically
@@ -150,35 +97,6 @@ func (c Class) String() string {
 	default:
 		return "OBN"
 	}
-}
-
-// Classify partitions the nodes into CPNs, IBNs and OBNs in O(v + e)
-// time: a reverse topological sweep marks every node that can reach a
-// CPN.
-func Classify(g *Graph, l *Levels) []Class {
-	v := g.NumNodes()
-	cls := make([]Class, v)
-	reaches := make([]bool, v) // reaches[n]: some path n ->* CPN exists
-	for i := v - 1; i >= 0; i-- {
-		n := l.Order[i]
-		if l.IsCPN(n) {
-			reaches[n] = true
-			cls[n] = CPN
-			continue
-		}
-		for _, e := range g.Succ(n) {
-			if reaches[e.To] {
-				reaches[n] = true
-				break
-			}
-		}
-		if reaches[n] {
-			cls[n] = IBN
-		} else {
-			cls[n] = OBN
-		}
-	}
-	return cls
 }
 
 // NodesOfClass returns the IDs with the given class, in ID order.

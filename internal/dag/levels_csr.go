@@ -2,68 +2,48 @@ package dag
 
 import "fmt"
 
-// ComputeLevelsCSR is ComputeLevels operating on the CSR arenas
-// instead of the per-node []Edge slices. The result is bit-identical:
-// the CSR stores each node's neighbours in the same slot order the
-// slices do, the topological order comes from the same
-// smallest-ID-first Kahn, and every max fold visits candidates in the
-// same sequence — so a plan compiled through this kernel is
-// indistinguishable from one compiled through ComputeLevels (pinned by
-// the differential tests in this package).
+// ComputeLevelsCSR computes the t-level, b-level, static level and
+// ALAP time of every node in O(v + e) time: the compact level kernel
+// (ComputeLevelsCompactArena) followed by one static-level fold, with
+// ALAP = CPLen - b-level. It returns an error if the graph is cyclic or
+// empty.
 func ComputeLevelsCSR(c *CSR) (*Levels, error) {
-	v := c.NumNodes()
-	if v == 0 {
-		return nil, fmt.Errorf("dag: cannot compute levels of an empty graph")
-	}
-	order32, err := c.TopoOrder()
+	cl, err := c.ComputeLevelsCompactArena(nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	v := c.NumNodes()
 	l := &Levels{
-		TLevel: make([]float64, v),
-		BLevel: make([]float64, v),
-		Static: make([]float64, v),
+		TLevel: cl.TLevel,
+		BLevel: cl.BLevel,
+		Static: c.StaticLevels(cl.Order),
 		ALAP:   make([]float64, v),
+		CPLen:  cl.CPLen,
 		Order:  make([]NodeID, v),
 	}
-	for i, n := range order32 {
+	for i, n := range cl.Order {
 		l.Order[i] = NodeID(n)
-	}
-	for _, n := range order32 {
-		t := 0.0
-		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
-			p := c.PredFrom[s]
-			cand := l.TLevel[p] + c.NodeW[p] + c.PredW[s]
-			if cand > t {
-				t = cand
-			}
-		}
-		l.TLevel[n] = t
-	}
-	for i := v - 1; i >= 0; i-- {
-		n := order32[i]
-		b, st := 0.0, 0.0
-		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
-			to := c.SuccTo[s]
-			if cand := c.SuccW[s] + l.BLevel[to]; cand > b {
-				b = cand
-			}
-			if cand := l.Static[to]; cand > st {
-				st = cand
-			}
-		}
-		l.BLevel[n] = c.NodeW[n] + b
-		l.Static[n] = c.NodeW[n] + st
-	}
-	for _, n := range order32 {
-		if sum := l.TLevel[n] + l.BLevel[n]; sum > l.CPLen {
-			l.CPLen = sum
-		}
-	}
-	for _, n := range order32 {
 		l.ALAP[n] = l.CPLen - l.BLevel[n]
 	}
 	return l, nil
+}
+
+// StaticLevels returns every node's static level — its b-level with
+// communication costs ignored — folded in reverse over order, a
+// topological order of c (CompactLevels.Order).
+func (c *CSR) StaticLevels(order []int32) []float64 {
+	static := make([]float64, c.NumNodes())
+	for i := len(order) - 1; i >= 0; i-- {
+		n := order[i]
+		st := 0.0
+		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
+			if cand := static[c.SuccTo[s]]; cand > st {
+				st = cand
+			}
+		}
+		static[n] = c.NodeW[n] + st
+	}
+	return static
 }
 
 // CompactLevels is the index-compact subset of Levels the large-graph
@@ -77,26 +57,12 @@ type CompactLevels struct {
 	CPLen  float64
 }
 
-// IsCPN reports whether n lies on a critical path, under the same
-// scaled tolerance Levels.IsCPN uses.
-func (l *CompactLevels) IsCPN(n int32) bool {
-	return l.TLevel[n]+l.BLevel[n] >= l.CPLen-cpEps(l.CPLen)
-}
-
-// ComputeLevelsCompact computes the compact levels of c, reusing
-// scratch's tables when their capacity suffices so a serving loop
-// compiling many graphs allocates only on growth. scratch may be nil.
-// The t- and b-level values are bit-identical to ComputeLevels on the
-// same graph.
-func (c *CSR) ComputeLevelsCompact(scratch *CompactLevels) (*CompactLevels, error) {
-	return c.ComputeLevelsCompactArena(scratch, nil)
-}
-
-// ComputeLevelsCompactArena is ComputeLevelsCompact with the level
-// tables and all topological scratch drawn from a; values are
-// bit-identical (same folds, same visit order). With a non-nil arena
-// the tables are re-acquired every call — pass the same l to reuse its
-// header, not its arrays — and are invalidated by the arena's Reset.
+// ComputeLevelsCompactArena computes the compact levels of c: the one
+// t/b-level fold of the package, over the smallest-ID-first Kahn order.
+// The level tables and all topological scratch are drawn from a; a nil
+// arena allocates them fresh. With a non-nil arena the tables are
+// re-acquired every call — pass the same l to reuse its header, not
+// its arrays — and are invalidated by the arena's Reset.
 func (c *CSR) ComputeLevelsCompactArena(l *CompactLevels, a *ScaleArena) (*CompactLevels, error) {
 	v := c.NumNodes()
 	if v == 0 {
@@ -106,21 +72,14 @@ func (c *CSR) ComputeLevelsCompactArena(l *CompactLevels, a *ScaleArena) (*Compa
 		l = &CompactLevels{}
 	}
 	l.CPLen = 0
-	var orderScratch []int32
-	if a == nil {
-		l.TLevel = growF64(l.TLevel, v)
-		l.BLevel = growF64(l.BLevel, v)
-		orderScratch = growI32(l.Order, v)[:0]
-	} else {
-		l.TLevel = a.F64(v)
-		l.BLevel = a.F64(v)
-		orderScratch = a.I32(v)[:0]
-	}
-	order, err := c.topoOrderArenaInto(orderScratch, a)
+	l.TLevel = a.F64(v)
+	l.BLevel = a.F64(v)
+	order, err := c.topoOrderArenaInto(a.I32(v)[:0], a)
 	if err != nil {
 		return nil, err
 	}
 	l.Order = order
+	// t-level: t(n) = max over parents p of t(p) + w(p) + c(p,n).
 	for _, n := range order {
 		t := 0.0
 		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
@@ -132,6 +91,7 @@ func (c *CSR) ComputeLevelsCompactArena(l *CompactLevels, a *ScaleArena) (*Compa
 		}
 		l.TLevel[n] = t
 	}
+	// b-level: b(n) = w(n) + max over children m of c(n,m) + b(m).
 	for i := v - 1; i >= 0; i-- {
 		n := order[i]
 		b := 0.0
@@ -150,8 +110,9 @@ func (c *CSR) ComputeLevelsCompactArena(l *CompactLevels, a *ScaleArena) (*Compa
 	return l, nil
 }
 
-// ClassifyCSR is Classify on the CSR arenas; same reverse topological
-// sweep, same result.
+// ClassifyCSR partitions the nodes into CPNs, IBNs and OBNs in
+// O(v + e) time: a reverse topological sweep marks every node that can
+// reach a CPN.
 func ClassifyCSR(c *CSR, l *Levels) []Class {
 	v := c.NumNodes()
 	cls := make([]Class, v)
@@ -176,59 +137,4 @@ func ClassifyCSR(c *CSR, l *Levels) []Class {
 		}
 	}
 	return cls
-}
-
-// ClassifyCompact is the classification against compact levels,
-// writing into cls when its capacity suffices (pass nil to allocate).
-// The scratch bitmap is internal; two calls never share state.
-func (c *CSR) ClassifyCompact(l *CompactLevels, cls []Class) []Class {
-	return c.ClassifyCompactArena(l, cls, nil)
-}
-
-// ClassifyCompactArena is ClassifyCompact with the class table and the
-// reachability bitmap drawn from a; same sweep, same result. With a
-// non-nil arena the cls argument is ignored and a fresh arena table is
-// returned (invalidated by the arena's Reset).
-func (c *CSR) ClassifyCompactArena(l *CompactLevels, cls []Class, a *ScaleArena) []Class {
-	v := c.NumNodes()
-	if a != nil {
-		cls = a.Cls(v)
-	} else if cap(cls) >= v {
-		cls = cls[:v]
-	} else {
-		cls = make([]Class, v)
-	}
-	reaches := a.Bool(v)
-	for i := v - 1; i >= 0; i-- {
-		n := l.Order[i]
-		if l.IsCPN(n) {
-			reaches[n] = true
-			cls[n] = CPN
-			continue
-		}
-		reaches[n] = false
-		cls[n] = OBN
-		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
-			if reaches[c.SuccTo[s]] {
-				reaches[n] = true
-				cls[n] = IBN
-				break
-			}
-		}
-	}
-	return cls
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
 }

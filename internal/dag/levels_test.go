@@ -88,7 +88,7 @@ func TestCriticalPathDiamond(t *testing.T) {
 func TestClassifyDiamond(t *testing.T) {
 	g := diamond(t)
 	l, _ := ComputeLevels(g)
-	cls := Classify(g, l)
+	cls := ClassifyCSR(BuildCSR(g), l)
 	// a, c, d on the CP; b reaches d, so IBN.
 	want := []Class{CPN, IBN, CPN, CPN}
 	for i := range want {
@@ -109,7 +109,7 @@ func TestClassifyWithOBN(t *testing.T) {
 	g.MustAddEdge(a, b, 1)
 	g.MustAddEdge(a, c, 1)
 	l, _ := ComputeLevels(g)
-	cls := Classify(g, l)
+	cls := ClassifyCSR(BuildCSR(g), l)
 	if cls[a] != CPN || cls[b] != CPN {
 		t.Fatalf("a/b classes = %v %v", cls[a], cls[b])
 	}

@@ -84,7 +84,7 @@ func TestQuickClassificationPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cls := Classify(g, l)
+		cls := ClassifyCSR(BuildCSR(g), l)
 		if len(NodesOfClass(cls, CPN)) == 0 {
 			return false
 		}

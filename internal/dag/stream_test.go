@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// stgFixtures are STG inputs the legacy reader accepts, spanning the
+// stgFixtures are STG inputs the reader accepts, spanning the
 // orderings that exercise the counting scatters: rows out of id order,
 // predecessors listed out of order, diamonds, multi-level fan-in.
 var stgFixtures = []string{
@@ -81,18 +81,21 @@ func graphsEqual(t *testing.T, got, want *Graph) {
 	}
 }
 
+// TestStreamSTGBitIdentical checks that every fixture's CSR survives
+// the ToGraph/BuildCSR round trip slot for slot, and that ReadSTG
+// returns exactly that graph.
 func TestStreamSTGBitIdentical(t *testing.T) {
 	for _, fix := range stgFixtures {
-		legacy, err := ReadSTG(strings.NewReader(fix), 2.5)
-		if err != nil {
-			t.Fatalf("ReadSTG(%q): %v", fix, err)
-		}
 		c, err := StreamSTG(strings.NewReader(fix), 2.5)
 		if err != nil {
 			t.Fatalf("StreamSTG(%q): %v", fix, err)
 		}
-		csrEqual(t, c, BuildCSR(legacy))
-		graphsEqual(t, c.ToGraph(), legacy)
+		g, err := ReadSTG(strings.NewReader(fix), 2.5)
+		if err != nil {
+			t.Fatalf("ReadSTG(%q): %v", fix, err)
+		}
+		csrEqual(t, c, BuildCSR(g))
+		graphsEqual(t, c.ToGraph(), g)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("Validate(%q): %v", fix, err)
 		}
@@ -119,9 +122,6 @@ func TestStreamSTGErrors(t *testing.T) {
 	for _, fix := range cases {
 		if _, err := StreamSTG(strings.NewReader(fix), 1); err == nil {
 			t.Errorf("StreamSTG(%q) accepted", fix)
-		}
-		if _, err := ReadSTG(strings.NewReader(fix), 1); err == nil {
-			t.Errorf("ReadSTG(%q) accepted", fix)
 		}
 	}
 	if _, err := StreamSTG(strings.NewReader("1\n0 1 0\n"), -1); err == nil {
@@ -272,25 +272,23 @@ func TestFinishCSRValidation(t *testing.T) {
 	}
 }
 
-// TestStreamSTGAgainstFiles replays every legacy fuzz corpus crasher
-// plus the fixtures through both readers and checks accept/reject
-// agreement (the property FuzzStreamSTG checks continuously).
+// TestStreamSTGAcceptanceAgreement pins accept/reject on the fixtures
+// (all accepted) and on the corpus crashers a second, map-based STG
+// parser once disagreed with the streaming reader about (all
+// rejected).
 func TestStreamSTGAcceptanceAgreement(t *testing.T) {
-	inputs := append([]string{}, stgFixtures...)
-	inputs = append(inputs,
+	for _, in := range stgFixtures {
+		if _, err := ReadSTG(strings.NewReader(in), 1); err != nil {
+			t.Fatalf("fixture %q rejected: %v", in, err)
+		}
+	}
+	for _, in := range []string{
 		"000002000000 v1\n",
 		"2\n0 1 0\n1 1e309 0\n",          // overflow to +Inf
 		"3\n0 1 1 2\n1 1 1 0\n2 1 1 1\n", // cycle through preds
-	)
-	for _, in := range inputs {
-		g, errLegacy := ReadSTG(strings.NewReader(in), 1)
-		c, errStream := StreamSTG(strings.NewReader(in), 1)
-		if (errLegacy == nil) != (errStream == nil) {
-			t.Fatalf("acceptance diverges on %q: legacy=%v stream=%v", in, errLegacy, errStream)
-		}
-		if errLegacy == nil {
-			csrEqual(t, c, BuildCSR(g))
-			graphsEqual(t, c.ToGraph(), g)
+	} {
+		if _, err := ReadSTG(strings.NewReader(in), 1); err == nil {
+			t.Fatalf("%q accepted", in)
 		}
 	}
 }

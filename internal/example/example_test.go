@@ -47,7 +47,7 @@ func TestPaperLevelConstraints(t *testing.T) {
 func TestPaperClassification(t *testing.T) {
 	g := Graph()
 	l, _ := dag.ComputeLevels(g)
-	cls := dag.Classify(g, l)
+	cls := dag.ClassifyCSR(dag.BuildCSR(g), l)
 	wantCPN := map[dag.NodeID]bool{N(1): true, N(7): true, N(9): true}
 	for i := 0; i < 9; i++ {
 		n := dag.NodeID(i)

@@ -6,18 +6,18 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
 
 func exampleList(t *testing.T) (*dag.Graph, []dag.NodeID) {
 	t.Helper()
 	g := example.Graph()
-	l, err := dag.ComputeLevels(g)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls := dag.Classify(g, l)
-	return g, CPNDominateList(g, l, cls)
+	return g, cg.CPNDominate
 }
 
 // The paper gives the CPN-Dominate list of the Figure-1 graph verbatim:
@@ -64,10 +64,11 @@ func assertTopological(t *testing.T, g *dag.Graph, list []dag.NodeID) {
 }
 
 func TestBlockingListMatchesPaper(t *testing.T) {
-	g := example.Graph()
-	l, _ := dag.ComputeLevels(g)
-	cls := dag.Classify(g, l)
-	got := blockingList(cls)
+	cg, err := plan.Compile(example.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cg.Blocking
 	want := []dag.NodeID{example.N(2), example.N(3), example.N(4), example.N(5), example.N(6), example.N(8)}
 	if len(got) != len(want) {
 		t.Fatalf("blocking list = %v, want %v", got, want)
@@ -275,13 +276,11 @@ func TestFASTPropertiesOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		g := randomLayeredGraph(rng, 2+rng.Intn(70))
-		l, err := dag.ComputeLevels(g)
+		cg, err := plan.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cls := dag.Classify(g, l)
-		list := CPNDominateList(g, l, cls)
-		assertTopological(t, g, list)
+		assertTopological(t, g, cg.CPNDominate)
 
 		procs := 1 + rng.Intn(6)
 		init, err := New(Options{NoSearch: true}).Schedule(g, procs)

@@ -38,12 +38,6 @@ type HierOptions struct {
 	// returned schedules are invalidated by the next Reset; with a nil
 	// Arena the scheduler is safe for concurrent use, as before.
 	Arena *dag.ScaleArena
-	// PinnedSplice restores the pre-balancing splice that keeps every
-	// node on its cluster's processor (the PR 6 behavior). The default
-	// work-stealing splice may move individual ready tasks to an idle
-	// processor when that strictly lowers their start time; both are
-	// deterministic.
-	PinnedSplice bool
 }
 
 // Hierarchical is the million-node FAST variant: rather than running
@@ -61,10 +55,10 @@ type HierOptions struct {
 //     contracted cycles);
 //  3. runs the full FAST two-phase algorithm on the contracted graph;
 //  4. splices the result back, list-scheduling the original nodes in
-//     priority order. Each node prefers its cluster's processor, and —
-//     unless PinnedSplice is set — a node whose own processor is the
-//     bottleneck (its queue, not its data, delays it) is stolen onto
-//     the processor where it can start strictly earliest.
+//     priority order. Each node prefers its cluster's processor, and a
+//     node whose own processor is the bottleneck (its queue, not its
+//     data, delays it) is stolen onto the processor where it can start
+//     strictly earliest.
 //
 // Every phase is deterministic for a fixed seed — the splice is a
 // sequential replay in a fixed priority order with a fixed tie-break,
@@ -181,11 +175,7 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 		f = &h.flat
 		*f = sched.Flat{}
 	}
-	if h.opts.PinnedSplice {
-		splicePinned(c, prio, clusterOf, is, procs, f, a)
-	} else {
-		spliceBalanced(c, prio, clusterOf, is, procs, f, a)
-	}
+	spliceBalanced(c, prio, clusterOf, is, procs, f, a)
 	a.ReleaseI32(prio)
 	a.ReleaseI32(clusterOf)
 	f.Algorithm = h.Name()
@@ -526,11 +516,28 @@ func condense(vc int, efrom, eto []int32, a *dag.ScaleArena) (scc []int32, nscc 
 	return scc, nscc
 }
 
-// spliceAssign fills f's shape and the per-node processor pin from the
-// inner schedule, returning the processor count P the splice schedules
-// onto: procs when given, one past the highest pinned processor when
-// procs <= 0.
-func spliceAssign(c *dag.CSR, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) int {
+// spliceBalanced is the work-stealing splice. It replays the original
+// nodes in priority order (a valid topological order), each pinned by
+// default to its super-cluster's processor from the inner schedule:
+// start = max(processor ready time, latest parent arrival), with
+// communication charged only across processors. A node whose pinned
+// processor is the bottleneck — its queue delays it beyond its data
+// arrival — is stolen onto the processor where it starts strictly
+// earliest, communication recharged accordingly. Each node's candidate
+// start on every processor is evaluated in O(deg + P) via a three-term
+// decomposition of the data-arrival max, so the pass stays O(e + v·P).
+// The splice schedules onto procs processors, or one past the highest
+// pinned processor when procs <= 0.
+//
+// Determinism: the replay is sequential in priority order (the node's
+// position is its stamp), the pinned processor wins ties, and among
+// strictly better processors the lowest index wins — so the schedule
+// is a pure function of the CSR and the inner schedule, bit-identical
+// regardless of GOMAXPROCS. The schedule is append-only per processor
+// and every start equals either its processor's previous finish or a
+// parent's arrival, so blocking chains charge each node and edge at
+// most once and the makespan stays ≤ TotalWork + TotalComm.
+func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) {
 	v := c.NumNodes()
 	f.Assign = a.I32(v)
 	f.Start = a.F64(v)
@@ -547,57 +554,7 @@ func spliceAssign(c *dag.CSR, super []int32, inner *sched.Schedule, procs int, f
 	if procs <= 0 {
 		f.Procs = maxProc + 1
 	}
-	return f.Procs
-}
-
-// splicePinned replays the original nodes in priority order (a valid
-// topological order) with each node pinned to its super-cluster's
-// processor: start = max(processor ready time, latest parent arrival),
-// communication charged only across processors. A fixed-assignment
-// list schedule — every blocking chain charges each node and edge at
-// most once, so the makespan is ≤ TotalWork + TotalComm.
-func splicePinned(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) {
-	P := spliceAssign(c, super, inner, procs, f, a)
-	ready := a.F64(P)
-	for _, n := range prio {
-		p := f.Assign[n]
-		start := ready[p]
-		for s := c.PredOff[n]; s < c.PredOff[n+1]; s++ {
-			from := c.PredFrom[s]
-			arrival := f.Finish[from]
-			if f.Assign[from] != p {
-				arrival += c.PredW[s]
-			}
-			if arrival > start {
-				start = arrival
-			}
-		}
-		f.Start[n] = start
-		f.Finish[n] = start + c.NodeW[n]
-		ready[p] = f.Finish[n]
-	}
-	a.ReleaseF64(ready)
-}
-
-// spliceBalanced is the work-stealing splice: the same priority-order
-// replay as splicePinned, but a node whose pinned processor is the
-// bottleneck — its queue delays it beyond its data arrival — is stolen
-// onto the processor where it starts strictly earliest, communication
-// recharged accordingly. Each node's candidate start on every
-// processor is evaluated in O(deg + P) via a three-term decomposition
-// of the data-arrival max, so the pass stays O(e + v·P).
-//
-// Determinism: the replay is sequential in priority order (the node's
-// position is its stamp), the pinned processor wins ties, and among
-// strictly better processors the lowest index wins — so the schedule
-// is a pure function of the CSR and the inner schedule, bit-identical
-// regardless of GOMAXPROCS. The envelope argument of splicePinned
-// still applies: the schedule is append-only per processor and every
-// start equals either its processor's previous finish or a parent's
-// arrival, so blocking chains charge each node and edge at most once
-// and the makespan stays ≤ TotalWork + TotalComm.
-func spliceBalanced(c *dag.CSR, prio []int32, super []int32, inner *sched.Schedule, procs int, f *sched.Flat, a *dag.ScaleArena) {
-	P := spliceAssign(c, super, inner, procs, f, a)
+	P := f.Procs
 	ready := a.F64(P)
 	// Per-node scratch for the arrival decomposition, stamp-validated so
 	// it never needs clearing between nodes.

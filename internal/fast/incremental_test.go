@@ -6,6 +6,7 @@ import (
 
 	"fastsched/internal/dag"
 	"fastsched/internal/example"
+	"fastsched/internal/plan"
 	"fastsched/internal/timing"
 	"fastsched/internal/workload"
 )
@@ -46,11 +47,11 @@ func referenceReplay(g *dag.Graph, list []dag.NodeID, assign []int, procs int) (
 
 func stateList(t *testing.T, g *dag.Graph) []dag.NodeID {
 	t.Helper()
-	l, err := dag.ComputeLevels(g)
+	cg, err := plan.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return CPNDominateList(g, l, dag.Classify(g, l))
+	return cg.CPNDominate
 }
 
 func assertTablesMatchReference(t *testing.T, st *state, ctx string) {

@@ -80,7 +80,8 @@ func TestScaleSmoke(t *testing.T) {
 // layered graphs across widths and seeds, the balanced splice keeps the
 // max/mean PE busy-time at or under 1.5 for every processor count in
 // {4, 8, 16}. This is the gap the work-stealing splice exists to close —
-// the pinned splice routinely leaves one PE dominating on these shapes.
+// keeping every node on its cluster's processor routinely leaves one PE
+// dominating on these shapes.
 // Widths stay at 2x the largest processor count or more: a graph whose
 // layers are narrower than the machine cannot keep every PE busy, and
 // idle PEs count toward the mean.
@@ -147,13 +148,13 @@ func TestSpliceGOMAXPROCSBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScaleArenaWarmZeroAllocs pins the tentpole's warm-path contract:
-// once the arena is warmed by one cold pass, re-running the arena
-// kernels — streaming parse, compact levels, classification, priority
-// order, clustering — allocates nothing at all. (The full scheduler
-// additionally builds the ≤ MaxClusters contracted graph and runs the
-// inner search, which allocate O(clusters), not O(v); the benchmark's
-// warm-allocs/node series accounts for those.)
+// TestScaleArenaWarmZeroAllocs pins the warm-path contract: once the
+// arena is warmed by one cold pass, re-running the arena kernels —
+// streaming parse, compact levels, priority order, clustering —
+// allocates nothing at all. (The full scheduler additionally builds the
+// ≤ MaxClusters contracted graph and runs the inner search, which
+// allocate O(clusters), not O(v); the benchmark's warm-allocs/node
+// series accounts for those.)
 func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 	if schedtest.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
@@ -180,10 +181,9 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 			runErr = err
 			return
 		}
-		cls := c.ClassifyCompactArena(l, nil, a)
 		prio := buildPriorityOrder(l, c.NumNodes(), a)
 		cluster, vc := linearClusters(c, l, prio, a)
-		if len(cls) == 0 || len(cluster) == 0 || vc <= 0 {
+		if len(cluster) == 0 || vc <= 0 {
 			runErr = fmt.Errorf("degenerate pipeline output")
 		}
 	}
@@ -213,10 +213,9 @@ var benchSink float64
 // re-enters the function; the single-shot pipelines at v = 10⁶ are far
 // too expensive to repeat).
 type scaleStat struct {
-	peakB         float64
-	balance       float64
-	balancePinned float64
-	coldAllocs    float64
+	peakB      float64
+	balance    float64
+	coldAllocs float64
 }
 
 var scaleStats = map[int]*scaleStat{}
@@ -226,8 +225,7 @@ var scaleStats = map[int]*scaleStat{}
 // pipeline. Three measurement modes per size:
 //
 //   - an untimed nil-arena single shot reports peak-B/node (live heap
-//     at stage boundaries) plus the splice's busy-time balance and the
-//     pinned splice's balance for comparison;
+//     at stage boundaries) plus the splice's busy-time balance;
 //   - an untimed fresh-arena pass reports cold-allocs/node (Mallocs
 //     delta over the whole pipeline, generator included);
 //   - the timed loop runs the warm serving path — arena Reset, parse,
@@ -284,7 +282,6 @@ func BenchmarkScale(b *testing.B) {
 
 			b.ReportMetric(st.peakB, "peak-B/node")
 			b.ReportMetric(st.balance, "balance")
-			b.ReportMetric(st.balancePinned, "balance-pinned")
 			b.ReportMetric(st.coldAllocs, "cold-allocs/node")
 			b.ReportMetric(warmAllocs, "warm-allocs/node")
 		})
@@ -293,7 +290,7 @@ func BenchmarkScale(b *testing.B) {
 
 // measureScaleOnce performs the untimed single-shot measurements for
 // one graph size: the nil-arena pipeline's peak live heap and splice
-// balances, then a fresh arena's cold allocation count.
+// balance, then a fresh arena's cold allocation count.
 func measureScaleOnce(b *testing.B, opts workload.LayeredOpts) *scaleStat {
 	v := opts.V
 	st := &scaleStat{}
@@ -322,11 +319,6 @@ func measureScaleOnce(b *testing.B, opts workload.LayeredOpts) *scaleStat {
 		st.peakB = float64(hi-base) / float64(v)
 	}
 	st.balance = f.Balance()
-	fp, err := NewHierarchical(HierOptions{Seed: 1, PinnedSplice: true}).ScheduleCSR(c, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st.balancePinned = fp.Balance()
 
 	// Cold allocations: a fresh arena through the whole pipeline,
 	// generator goroutine included (its emitter is allocation-free past

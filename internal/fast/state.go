@@ -14,7 +14,6 @@ import (
 	"fastsched/internal/dag"
 	"fastsched/internal/listsched"
 	"fastsched/internal/obs"
-	"fastsched/internal/plan"
 	"fastsched/internal/sched"
 )
 
@@ -110,8 +109,8 @@ type state struct {
 	list  []dag.NodeID // topological priority order (phase-1 list)
 	procs int
 
-	csr *plan.CSR // flat adjacency layout; immutable, shared by clones
-	pos []int     // node -> list position; shared read-only by clones
+	csr *dag.CSR // flat adjacency layout; immutable, shared by clones
+	pos []int    // node -> list position; shared read-only by clones
 
 	assign []int // processor of each node
 	start  []float64
@@ -181,7 +180,7 @@ func newState(g *dag.Graph, list []dag.NodeID, procs int) *state {
 // scratch from the package pool instead.
 func newStateK(g *dag.Graph, list []dag.NodeID, procs, ckK int) *state {
 	st := &state{}
-	st.init(g, list, plan.NewCSR(g), procs, ckK)
+	st.init(g, list, dag.BuildCSR(g), procs, ckK)
 	return st
 }
 
@@ -192,7 +191,7 @@ func newStateK(g *dag.Graph, list []dag.NodeID, procs, ckK int) *state {
 // read, so recycled scratch never leaks values into a run (the
 // differential tests pin this by comparing pooled runs against fresh
 // ones bit for bit).
-func (st *state) init(g *dag.Graph, list []dag.NodeID, csr *plan.CSR, procs, ckK int) {
+func (st *state) init(g *dag.Graph, list []dag.NodeID, csr *dag.CSR, procs, ckK int) {
 	v := g.NumNodes()
 	if ckK < 1 {
 		ckK = 1
@@ -260,7 +259,7 @@ var statePool = sync.Pool{New: func() any { return &state{} }}
 // acquireState draws a state from the pool and initializes it for this
 // run. Release with st.release() once the schedule has been extracted;
 // a released state must not be touched again.
-func acquireState(g *dag.Graph, list []dag.NodeID, csr *plan.CSR, procs int, tele telemetry) *state {
+func acquireState(g *dag.Graph, list []dag.NodeID, csr *dag.CSR, procs int, tele telemetry) *state {
 	st := statePool.Get().(*state)
 	if st.g == nil && st.assign == nil {
 		tele.poolNews.Inc()

@@ -30,44 +30,40 @@ func (*Scheduler) Name() string { return "HLFET" }
 
 // Schedule implements sched.Scheduler. procs <= 0 is treated as one
 // processor per node.
-func (*Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
-	if g.NumNodes() == 0 {
-		return nil, errors.New("hlfet: empty graph")
-	}
-	l, err := dag.ComputeLevels(g)
+func (h *Scheduler) Schedule(g *dag.Graph, procs int) (*sched.Schedule, error) {
+	f, err := h.ScheduleCSR(dag.BuildCSR(g), procs)
 	if err != nil {
 		return nil, err
 	}
-	return scheduleWithLevels(g, l, procs)
+	return f.ToSchedule(), nil
 }
 
-// ScheduleCompiled schedules against a pre-compiled plan, reusing its
-// level tables instead of recomputing them. Bit-identical to Schedule.
-func (*Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
-	if cg.Graph.NumNodes() == 0 {
-		return nil, errors.New("hlfet: empty graph")
+// ScheduleCompiled schedules a pre-compiled plan through its CSR;
+// bit-identical to Schedule(cg.Graph, procs).
+func (h *Scheduler) ScheduleCompiled(cg *plan.CompiledGraph, procs int) (*sched.Schedule, error) {
+	f, err := h.ScheduleCSR(cg.CSR, procs)
+	if err != nil {
+		return nil, err
 	}
-	return scheduleWithLevels(cg.Graph, cg.Levels, procs)
+	return f.ToSchedule(), nil
 }
 
-// ScheduleCSR is the CSR-only entry point: static levels come from a
-// compact plan (plan.CompileCompact) and the whole run touches nothing
-// but flat arrays — no *dag.Graph, no *sched.Schedule, no per-node
-// maps. The result is bit-identical to Schedule on the same graph:
-// the static-level fold, the ready-node max scan, the per-processor
-// DAT folds and every tie-break replicate the legacy path's visit
-// order exactly (pinned by TestScheduleCSRBitIdentical). procs <= 0 is
-// treated as one processor per node.
+// ScheduleCSR is HLFET's one list scheduler: CSR in, flat schedule
+// out, no *dag.Graph, *sched.Schedule or per-node maps. Static levels
+// come from the dag level kernel and its static fold; the ready-node
+// max scan and the per-processor data-arrival folds visit predecessor
+// slots in stored order, so the result is a pure function of the CSR.
+// procs <= 0 is treated as one processor per node.
 func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 	v := c.NumNodes()
 	if v == 0 {
 		return nil, errors.New("hlfet: empty graph")
 	}
-	cp, err := plan.CompileCompact(c, nil)
+	l, err := c.ComputeLevelsCompactArena(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	static := cp.Static()
+	static := c.StaticLevels(l.Order)
 	if procs <= 0 {
 		procs = v
 	}
@@ -105,8 +101,7 @@ func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 			}
 		}
 		// Earliest-start processor for that node, scan order breaks
-		// ties — the same max fold per processor the DATCache collapses,
-		// in the same pred slot order.
+		// ties.
 		proc, start := -1, 0.0
 		for p := 0; p < procs; p++ {
 			dat := 0.0
@@ -142,65 +137,4 @@ func (*Scheduler) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 		}
 	}
 	return f, nil
-}
-
-func scheduleWithLevels(g *dag.Graph, l *dag.Levels, procs int) (*sched.Schedule, error) {
-	v := g.NumNodes()
-	if procs <= 0 {
-		procs = v
-	}
-	m := listsched.NewMachine(procs)
-	s := sched.New(v)
-	s.Algorithm = "HLFET"
-
-	unschedParents := make([]int, v)
-	ready := make([]bool, v)
-	readyCount := 0
-	for i := 0; i < v; i++ {
-		unschedParents[i] = g.InDegree(dag.NodeID(i))
-		if unschedParents[i] == 0 {
-			ready[i] = true
-			readyCount++
-		}
-	}
-
-	for scheduled := 0; scheduled < v; scheduled++ {
-		if readyCount == 0 {
-			return nil, errors.New("hlfet: no ready node (cyclic graph?)")
-		}
-		listsched.ObserveReadyList(readyCount)
-		// Highest static level among ready nodes; ties to smaller ID.
-		best := dag.None
-		for i := 0; i < v; i++ {
-			if !ready[i] {
-				continue
-			}
-			n := dag.NodeID(i)
-			if best == dag.None || l.Static[n] > l.Static[best] {
-				best = n
-			}
-		}
-		// Earliest-start processor for that node, scan order breaks ties.
-		cache := listsched.NewDATCache(g, s, best)
-		proc, start := -1, 0.0
-		for p := 0; p < procs; p++ {
-			st := m.Proc(p).EarliestStartAppend(cache.DAT(p))
-			if proc == -1 || st < start {
-				proc, start = p, st
-			}
-		}
-		w := g.Weight(best)
-		m.Proc(proc).Insert(best, start, w)
-		s.Place(best, proc, start, start+w)
-		ready[best] = false
-		readyCount--
-		for _, e := range g.Succ(best) {
-			unschedParents[e.To]--
-			if unschedParents[e.To] == 0 {
-				ready[e.To] = true
-				readyCount++
-			}
-		}
-	}
-	return s, nil
 }

@@ -65,23 +65,15 @@ func GraphKey(g *dag.Graph) Key {
 	return k
 }
 
-// CSR is the flat compressed-sparse-row view of a graph's adjacency,
-// built once per compilation and shared read-only by every scheduling
-// run (PFAST workers included). The type itself lives in internal/dag
-// (dag.CSR) since the streaming readers produce it without a *Graph;
-// the alias keeps every existing plan-based call site source-compatible.
-type CSR = dag.CSR
-
-// NewCSR flattens g's adjacency in stored order.
-func NewCSR(g *dag.Graph) *CSR { return dag.BuildCSR(g) }
-
 // CompiledGraph bundles every immutable per-graph artifact the
 // schedulers consume. All fields are read-only after Compile; a
 // CompiledGraph may be shared freely across goroutines and runs.
 type CompiledGraph struct {
 	Graph *dag.Graph
 	Key   Key
-	CSR   *CSR
+	// CSR is the flat adjacency, shared read-only by every scheduling
+	// run (PFAST workers included).
+	CSR *dag.CSR
 	// Levels holds the t-level, b-level, static level, ALAP table and
 	// the topological order (Levels.Order) the levels were computed in.
 	Levels *dag.Levels
@@ -105,9 +97,7 @@ func Compile(g *dag.Graph) (*CompiledGraph, error) {
 // key from the same bytes) never hash twice.
 func CompileKeyed(g *dag.Graph, key Key) (*CompiledGraph, error) {
 	// Analysis runs on the CSR arenas, not the []Edge slices: the int32
-	// kernels keep a 10⁶-node compile at O(v+e) over dense streams. The
-	// results are bit-identical to the slice kernels (dag's differential
-	// tests pin this), so plans compiled either way are interchangeable.
+	// kernels keep a 10⁶-node compile at O(v+e) over dense streams.
 	csr := dag.BuildCSR(g)
 	l, err := dag.ComputeLevelsCSR(csr)
 	if err != nil {

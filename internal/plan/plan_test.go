@@ -87,7 +87,7 @@ func TestCompileMatchesAdHoc(t *testing.T) {
 			t.Fatalf("node %d: compiled levels differ from ComputeLevels", i)
 		}
 	}
-	cls := dag.Classify(g, l)
+	cls := dag.ClassifyCSR(dag.BuildCSR(g), l)
 	for i, c := range cls {
 		if cg.Classes[i] != c {
 			t.Fatalf("node %d: compiled class %v, ad hoc %v", i, cg.Classes[i], c)

@@ -61,11 +61,9 @@ echo "wrote $OUT"
 # Throughput benchmarks → BENCH_throughput.json
 #
 # Batch engine: the 200-request serving workload (40 graphs × 5 seeds)
-# through the compiled-plan path and the legacy (pre-compilation) path
-# at 1, 4 and 8 workers; the recorded speedup is legacy/compiled
-# best-of-N at each worker count, and req/s is derived from the
-# compiled best-of-N. PFAST: one whole scheduling run (8 cooperating
-# workers) at GOMAXPROCS 1/2/4/8. On a single-core host (this repo's
+# through the compiled-plan path at 1, 4 and 8 workers; req/s is
+# derived from the best-of-N at each worker count. PFAST: one whole
+# scheduling run (8 cooperating workers) at GOMAXPROCS 1/2/4/8. On a single-core host (this repo's
 # CI container has nproc=1) the PFAST curve is flat-to-rising — the
 # wall-clock win needs real cores; the host's CPU count is recorded so
 # readers can interpret the curve.
@@ -111,12 +109,11 @@ END {
     for (w = 1; w <= 8; w *= 2) {
         if (w == 2) continue
         c = minns["BenchmarkBatchThroughput/compiled/workers=" w]
-        l = minns["BenchmarkBatchThroughput/legacy/workers=" w]
-        if (c == "" || l == "") continue
+        if (c == "") continue
         if (!first) printf ",\n"
         first = 0
-        printf "    \"workers=%d\": {\"compiled_min_ns\": %d, \"legacy_min_ns\": %d, \"speedup\": %.2f, \"compiled_req_per_s\": %.0f}",
-            w, c, l, l / c, 200 / (c * 1e-9)
+        printf "    \"workers=%d\": {\"compiled_min_ns\": %d, \"compiled_req_per_s\": %.0f}",
+            w, c, 200 / (c * 1e-9)
     }
     printf "\n  },\n"
     printf "  \"pfast_wall_ns\": {\n"
@@ -141,7 +138,7 @@ echo "wrote $TOUT"
 # streamed through the edge-list reader into CSR arenas and scheduled
 # with hierarchical FAST. Each size reports three measurement modes
 # (see BenchmarkScale): the nil-arena single shot's peak-B/node and
-# splice balances, the fresh-arena cold-allocs/node, and the timed
+# splice balance, the fresh-arena cold-allocs/node, and the timed
 # warm serving loop's ns/op + warm-allocs/node. The benchmark does its
 # own warm-up pass and forced GC before the timed region, so the timed
 # loop measures the allocation-flat warm path and run-to-run variance
@@ -156,7 +153,7 @@ echo "$scaleraw"
 # Benchmark lines carry (value, unit) pairs after the iteration count,
 # with custom metrics sorted alphabetically between ns/op and B/op —
 # positions are not fixed, so scan the pairs by unit name:
-#   BenchmarkScale/v=10000-1  1  18665879 ns/op  1.000 balance  7.969 balance-pinned  0.046 cold-allocs/node  160.5 peak-B/node  0.036 warm-allocs/node  1093664 B/op  359 allocs/op
+#   BenchmarkScale/v=10000-1  1  18665879 ns/op  1.000 balance  0.046 cold-allocs/node  160.5 peak-B/node  0.036 warm-allocs/node  1093664 B/op  359 allocs/op
 echo "$scaleraw" | awk -v count="$SCOUNT" -v goversion="$(go version)" -v ncpu="$(nproc)" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^BenchmarkScale\// {
@@ -181,10 +178,10 @@ END {
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= n; i++) {
         name = order[i]
-        printf "    {\"name\": \"%s\", \"ns_per_op\": [%s], \"peak_b_per_node\": [%s], \"allocs_per_op\": [%s], \"cold_allocs_per_node\": [%s], \"warm_allocs_per_node\": [%s], \"balance\": [%s], \"balance_pinned\": [%s]}%s\n",
+        printf "    {\"name\": \"%s\", \"ns_per_op\": [%s], \"peak_b_per_node\": [%s], \"allocs_per_op\": [%s], \"cold_allocs_per_node\": [%s], \"warm_allocs_per_node\": [%s], \"balance\": [%s]}%s\n",
             name, arr[name, "ns/op"], arr[name, "peak-B/node"], arr[name, "allocs/op"],
             arr[name, "cold-allocs/node"], arr[name, "warm-allocs/node"],
-            arr[name, "balance"], arr[name, "balance-pinned"], i < n ? "," : ""
+            arr[name, "balance"], i < n ? "," : ""
     }
     printf "  ],\n"
     printf "  \"peak_b_per_node\": {\n"
@@ -217,8 +214,7 @@ END {
         name = order[i]
         v = name
         sub(/.*\/v=/, "", v)
-        printf "    \"v=%s\": {\"balanced\": %.3f, \"pinned\": %.3f}%s\n",
-            v, minv[name, "balance"], minv[name, "balance-pinned"], i < n ? "," : ""
+        printf "    \"v=%s\": %.3f%s\n", v, minv[name, "balance"], i < n ? "," : ""
     }
     printf "  }\n"
     printf "}\n"

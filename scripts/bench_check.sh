@@ -12,9 +12,9 @@
 # minute-to-minute with no code change (identical binary, idle load
 # average). An absolute ns/op gate cannot be tighter than the host's
 # own drift without false alarms, so the default is 30%; tighten via
-# THRESHOLD on quiet dedicated hardware. The ratio gates below
-# (speedup, PFAST slack) divide two same-epoch measurements and are
-# immune to the drift, which is why they stay tight.
+# THRESHOLD on quiet dedicated hardware. The ratio gate below (PFAST
+# slack) divides two same-epoch measurements and is immune to the
+# drift, which is why it stays tight.
 #
 # Usage: scripts/bench_check.sh                 # 30% gate, count=3
 #        THRESHOLD=15 COUNT=5 scripts/bench_check.sh
@@ -95,7 +95,7 @@ END {
 # ---------------------------------------------------------------------------
 # Throughput gate: compiled-plan serving path vs BENCH_throughput.json.
 #
-# Re-runs the workers=1 batch benchmarks (the least scheduler-noisy
+# Re-runs the workers=1 compiled batch benchmark (the least scheduler-noisy
 # configuration) and the PFAST wall-clock endpoints, then checks:
 #   1. compiled-path ns/op has not regressed more than TTHRESHOLD%
 #      against the baseline's best sample (same host-drift sizing as
@@ -104,10 +104,7 @@ END {
 #      ALLOC_THRESHOLD% — the steady-state allocation budget of the
 #      compiled path is part of its contract, pinned here with
 #      -benchmem on top of the AllocsPerRun unit tests;
-#   3. the freshly measured legacy/compiled speedup stays above
-#      TSPEEDUP: the recorded baseline is ~1.6x, so 1.35 leaves room
-#      for CI noise while still catching a real loss of the win;
-#   4. PFAST wall-clock at GOMAXPROCS=8 is no worse than PFAST_SLACK x
+#   3. PFAST wall-clock at GOMAXPROCS=8 is no worse than PFAST_SLACK x
 #      its GOMAXPROCS=1 time. On this repo's single-core CI container
 #      (host_cpus=1 in the baseline) the curve is flat by construction
 #      — real speedup needs real cores — so the gate only rejects a
@@ -116,7 +113,6 @@ END {
 
 TTHRESHOLD="${TTHRESHOLD:-30}"
 ALLOC_THRESHOLD="${ALLOC_THRESHOLD:-10}"
-TSPEEDUP="${TSPEEDUP:-1.35}"
 PFAST_SLACK="${PFAST_SLACK:-1.5}"
 TBASELINE="${TBASELINE:-BENCH_throughput.json}"
 
@@ -125,8 +121,8 @@ if [ ! -f "$TBASELINE" ]; then
     exit 1
 fi
 
-echo "== throughput check vs ${TBASELINE} (ns ${TTHRESHOLD}%, allocs ${ALLOC_THRESHOLD}%, speedup >= ${TSPEEDUP})"
-traw="$(go test -run '^$' -bench 'BenchmarkBatchThroughput/(compiled|legacy)/workers=1$' -benchmem -benchtime 2x -count="$COUNT" ./internal/batch)"
+echo "== throughput check vs ${TBASELINE} (ns ${TTHRESHOLD}%, allocs ${ALLOC_THRESHOLD}%)"
+traw="$(go test -run '^$' -bench 'BenchmarkBatchThroughput/compiled/workers=1$' -benchmem -benchtime 2x -count="$COUNT" ./internal/batch)"
 echo "$traw"
 praw="$(go test -run '^$' -bench 'BenchmarkPFASTWallClock/gomaxprocs=(1|8)$' -benchmem -benchtime 2x -count="$COUNT" ./internal/fast)"
 echo "$praw"
@@ -152,7 +148,7 @@ tbase="$(awk '
 
 printf '%s\n%s\n' "$traw" "$praw" | awk \
     -v tthreshold="$TTHRESHOLD" -v athreshold="$ALLOC_THRESHOLD" \
-    -v tspeedup="$TSPEEDUP" -v pslack="$PFAST_SLACK" -v baseline="$tbase" '
+    -v pslack="$PFAST_SLACK" -v baseline="$tbase" '
 BEGIN {
     n = split(baseline, lines, "\n")
     for (i = 1; i <= n; i++) {
@@ -170,10 +166,9 @@ BEGIN {
 END {
     fail = 0
     comp = "BenchmarkBatchThroughput/compiled/workers=1"
-    leg = "BenchmarkBatchThroughput/legacy/workers=1"
     p1 = "BenchmarkPFASTWallClock/gomaxprocs=1"
     p8 = "BenchmarkPFASTWallClock/gomaxprocs=8"
-    if (!(comp in curns) || !(leg in curns) || !(p1 in curns) || !(p8 in curns)) {
+    if (!(comp in curns) || !(p1 in curns) || !(p8 in curns)) {
         print "bench_check.sh: throughput benchmarks missing from run" > "/dev/stderr"
         exit 1
     }
@@ -191,11 +186,7 @@ END {
         printf "%-44s base %9d allocs    now %9d allocs    %+7.1f%%  %s\n",
             comp, baseal[comp], cural[comp], adelta, verdict
     }
-    # 3. fresh legacy/compiled speedup.
-    sp = curns[leg] / curns[comp]
-    verdict = "ok"; if (sp < tspeedup + 0) { verdict = "BELOW GATE"; fail = 1 }
-    printf "%-44s speedup %.2fx (gate >= %.2f)  %s\n", "compiled vs legacy (workers=1)", sp, tspeedup, verdict
-    # 4. PFAST parallel-vs-serial slack.
+    # 3. PFAST parallel-vs-serial slack.
     ratio = curns[p8] / curns[p1]
     verdict = "ok"; if (ratio > pslack + 0) { verdict = "BELOW GATE"; fail = 1 }
     printf "%-44s gp8/gp1 %.2fx (gate <= %.2f)  %s\n", "PFAST wall-clock", ratio, pslack, verdict
@@ -224,9 +215,8 @@ END {
 #   4. cold-allocs/node <= SCALE_COLD_MAX and warm-allocs/node <
 #      SCALE_WARM_MAX — the arena's allocation-flat contract in
 #      absolute terms;
-#   5. balance <= SCALE_BALANCE_MAX AND balance <= SCALE_BALANCE_RATIO
-#      x balance-pinned — the work-stealing splice must both meet the
-#      1.5 max/mean busy-time bound and beat the pinned splice by >=25%.
+#   5. balance <= SCALE_BALANCE_MAX — the work-stealing splice must
+#      meet the 1.5 max/mean busy-time bound.
 
 SCALE_THRESHOLD="${SCALE_THRESHOLD:-15}"
 SCALE_NS_THRESHOLD="${SCALE_NS_THRESHOLD:-30}"
@@ -234,7 +224,6 @@ SCALE_PEAK_MAX="${SCALE_PEAK_MAX:-157}"
 SCALE_COLD_MAX="${SCALE_COLD_MAX:-4}"
 SCALE_WARM_MAX="${SCALE_WARM_MAX:-0.5}"
 SCALE_BALANCE_MAX="${SCALE_BALANCE_MAX:-1.5}"
-SCALE_BALANCE_RATIO="${SCALE_BALANCE_RATIO:-0.75}"
 SBASELINE="${SBASELINE:-BENCH_scale.json}"
 SBENCH='BenchmarkScale/v=100000$'
 
@@ -276,7 +265,7 @@ sbase="$(awk '
 # metrics sorted alphabetically — scan by unit name, keep best-of-N.
 echo "$sraw" | awk -v sthreshold="$SCALE_THRESHOLD" -v nsthreshold="$SCALE_NS_THRESHOLD" \
     -v peakmax="$SCALE_PEAK_MAX" -v coldmax="$SCALE_COLD_MAX" -v warmmax="$SCALE_WARM_MAX" \
-    -v balmax="$SCALE_BALANCE_MAX" -v balratio="$SCALE_BALANCE_RATIO" -v baseline="$sbase" '
+    -v balmax="$SCALE_BALANCE_MAX" -v baseline="$sbase" '
 BEGIN {
     n = split(baseline, lines, "\n")
     for (i = 1; i <= n; i++) {
@@ -308,7 +297,6 @@ END {
     curcold = minv[target, "cold-allocs/node"] + 0
     curwarm = minv[target, "warm-allocs/node"] + 0
     curbal = minv[target, "balance"] + 0
-    curbalpin = minv[target, "balance-pinned"] + 0
     # 1. peak: relative and absolute.
     pdelta = 100 * (curpk - basepk[target]) / basepk[target]
     verdict = "ok"; if (pdelta > sthreshold) { verdict = "REGRESSED"; fail = 1 }
@@ -331,12 +319,9 @@ END {
     printf "%-36s %9.4f allocs/node (cap %.1f)  %s\n", target " cold", curcold, coldmax, verdict
     verdict = "ok"; if (curwarm >= warmmax + 0) { verdict = "ABOVE CAP"; fail = 1 }
     printf "%-36s %9.4f allocs/node (cap %.1f)  %s\n", target " warm", curwarm, warmmax, verdict
-    # 5. splice balance: absolute bound and win over the pinned splice.
+    # 5. splice balance: absolute bound.
     verdict = "ok"; if (curbal > balmax + 0) { verdict = "ABOVE CAP"; fail = 1 }
     printf "%-36s %9.3f max/mean busy (cap %.2f)  %s\n", target " balance", curbal, balmax, verdict
-    verdict = "ok"; if (curbalpin <= 0 || curbal > balratio * curbalpin) { verdict = "BELOW GATE"; fail = 1 }
-    printf "%-36s %9.3f vs pinned %.3f (gate <= %.2fx)  %s\n",
-        target " balance vs pinned", curbal, curbalpin, balratio, verdict
     if (fail) {
         print "bench_check.sh: scale gate failed — investigate or re-baseline with scripts/bench.sh" > "/dev/stderr"
         exit 1

@@ -24,6 +24,12 @@ echo "== vet"
 go vet ./...
 go vet ./cmd/...
 
+echo "== perfbench build"
+# perfbench is its own module (it imports fastsched through a replace
+# directive), so the root build and vet skip it. Building it here makes
+# a deleted or renamed exported name it calls fail CI, not the benchmark.
+(cd perfbench && go vet ./... && go build -o /dev/null .)
+
 echo "== test"
 go test -timeout 120s ./...
 
