@@ -104,9 +104,8 @@ func (c *CSR) ToGraph() *Graph {
 	return g
 }
 
-// TopoOrder returns the node indices in the deterministic topological
-// order Graph.TopologicalOrder produces (Kahn's algorithm,
-// smallest-ID-first), or ErrCycle.
+// TopoOrder returns the node indices in the package's deterministic
+// topological order (Kahn's algorithm, smallest-ID-first), or ErrCycle.
 func (c *CSR) TopoOrder() ([]int32, error) {
 	return c.topoOrderArenaInto(make([]int32, 0, c.NumNodes()), nil)
 }
@@ -123,9 +122,19 @@ func (c *CSR) topoCheck(a *ScaleArena) error {
 
 // topoOrderArenaInto appends c's topological order to order (empty,
 // possibly with capacity) and returns it, or ErrCycle: Kahn's algorithm,
-// smallest-ID-first — the order Graph.TopologicalOrder produces — in
-// int32 throughout. Its two O(v) scratch arrays come from a (fresh on a
+// smallest-ID-first, in int32 throughout — the package's one
+// topological sort. Its two O(v) scratch arrays come from a (fresh on a
 // nil arena) and are released on return; the order is the caller's.
+//
+// The ready set is split at a cursor that walks the IDs upward: nodes
+// at or past the cursor are found by the scan itself, and only a node
+// that becomes ready behind the cursor goes into the min-heap. Every
+// heap entry is smaller than the cursor, so a non-empty heap's minimum
+// is the smallest ready node and the emitted order is exactly the
+// all-heap Kahn order. On topologically numbered input (every edge from
+// a lower ID to a higher one, as the generators emit) the heap is never
+// touched and the sort is O(v + e); otherwise only the nodes readied
+// behind the cursor pay O(log v).
 func (c *CSR) topoOrderArenaInto(order []int32, a *ScaleArena) ([]int32, error) {
 	v := c.NumNodes()
 	indeg := a.I32(v)
@@ -133,19 +142,29 @@ func (c *CSR) topoOrderArenaInto(order []int32, a *ScaleArena) ([]int32, error) 
 		indeg[n] = c.PredOff[n+1] - c.PredOff[n]
 	}
 	heapSlab := a.I32(v)
-	h := &i32Heap{a: heapSlab[:0]}
-	for n := 0; n < v; n++ {
-		if indeg[n] == 0 {
-			h.push(int32(n))
+	h := &minHeap{a: heapSlab[:0]}
+	cursor := int32(0)
+	for {
+		var n int32
+		if h.len() > 0 {
+			n = h.pop()
+		} else {
+			// > 0 rather than != 0: a node an unmirrored CSR drives
+			// below zero was readied once, and the all-heap sort emits it.
+			for int(cursor) < v && indeg[cursor] > 0 {
+				cursor++
+			}
+			if int(cursor) == v {
+				break
+			}
+			n = cursor
+			cursor++
 		}
-	}
-	for h.len() > 0 {
-		n := h.pop()
 		order = append(order, n)
-		for s := c.SuccOff[n]; s < c.SuccOff[n+1]; s++ {
-			to := c.SuccTo[s]
-			indeg[to]--
-			if indeg[to] == 0 {
+		for _, to := range c.SuccTo[c.SuccOff[n]:c.SuccOff[n+1]] {
+			d := indeg[to] - 1
+			indeg[to] = d
+			if d == 0 && to < cursor {
 				h.push(to)
 			}
 		}
@@ -294,13 +313,13 @@ func (c *CSR) checkMirror() error {
 	return nil
 }
 
-// i32Heap is a binary min-heap of int32 node indices — the compact
-// sibling of idHeap for the CSR kernels.
-type i32Heap struct{ a []int32 }
+// minHeap is a binary min-heap of int32 node indices: the ready set
+// behind the topological sort's cursor.
+type minHeap struct{ a []int32 }
 
-func (h *i32Heap) len() int { return len(h.a) }
+func (h *minHeap) len() int { return len(h.a) }
 
-func (h *i32Heap) push(x int32) {
+func (h *minHeap) push(x int32) {
 	h.a = append(h.a, x)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -313,7 +332,7 @@ func (h *i32Heap) push(x int32) {
 	}
 }
 
-func (h *i32Heap) pop() int32 {
+func (h *minHeap) pop() int32 {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]

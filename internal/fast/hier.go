@@ -183,54 +183,13 @@ func (h *Hierarchical) ScheduleCSR(c *dag.CSR, procs int) (*sched.Flat, error) {
 }
 
 // buildPriorityOrder returns the nodes sorted by decreasing b-level,
-// ties broken by topological position (then ID, though topological
-// positions are already unique). Counting-free: we sort indices with a
-// bottom-up merge over int32 to avoid sort.Slice's interface overhead
-// on 10⁶ elements — and to keep the comparison total and deterministic.
+// ties broken by topological position: a stable radix sort of l.Order
+// by b-level, O(v). The order array is drawn from a (fresh on a nil
+// arena).
 func buildPriorityOrder(l *dag.CompactLevels, v int, a *dag.ScaleArena) []int32 {
-	pos := a.I32(v)
-	for i, n := range l.Order {
-		pos[n] = int32(i)
-	}
 	prio := a.I32(v)
 	copy(prio, l.Order)
-	less := func(x, y int32) bool {
-		if l.BLevel[x] != l.BLevel[y] {
-			return l.BLevel[x] > l.BLevel[y]
-		}
-		return pos[x] < pos[y]
-	}
-	// Bottom-up merge sort, stable. Starting from l.Order (a valid
-	// topological order) makes equal-b-level runs already pos-ordered,
-	// but stability guarantees the tie-break regardless.
-	buf := a.I32(v)
-	for width := 1; width < v; width *= 2 {
-		for lo := 0; lo < v; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > v {
-				mid = v
-			}
-			if hi > v {
-				hi = v
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if less(prio[j], prio[i]) {
-					buf[k] = prio[j]
-					j++
-				} else {
-					buf[k] = prio[i]
-					i++
-				}
-				k++
-			}
-			copy(buf[k:hi], prio[i:mid])
-			copy(buf[k+mid-i:hi], prio[j:hi])
-		}
-		prio, buf = buf, prio
-	}
-	a.ReleaseI32(pos)
-	a.ReleaseI32(buf)
+	dag.SortByKey(prio, l.BLevel, dag.Descending, a)
 	return prio
 }
 

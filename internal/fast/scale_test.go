@@ -2,6 +2,9 @@ package fast
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -195,6 +198,65 @@ func TestScaleArenaWarmZeroAllocs(t *testing.T) {
 	}
 }
 
+// flatDigest is the SHA-256 of a flat schedule's Assign, Start and
+// Finish arrays in binary.Write's little-endian encoding.
+func flatDigest(t *testing.T, f *sched.Flat) string {
+	t.Helper()
+	h := sha256.New()
+	for _, p := range []any{f.Assign, f.Start, f.Finish} {
+		if err := binary.Write(h, binary.LittleEndian, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHierFlatDigestV1e5 pins the v=10⁵ layered flat schedule bit for
+// bit, through both the nil-arena path (LayeredCSR) and the arena
+// serving path (StreamEdgeListArena over the rendered edge list, run
+// twice so the warm pass is covered). The digest was recorded before
+// the priority order, the topological sort and ValidateFlat moved to
+// linear-time sorts, which must leave every schedule unchanged.
+func TestHierFlatDigestV1e5(t *testing.T) {
+	const want = "07da18d3c3327a0f41c7c73ca0f08fddc914043b6ef343690ade1459a9a97e2a"
+	opts := workload.LayeredOpts{V: 100000, Seed: 29}
+	c, err := workload.LayeredCSR(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewHierarchical(HierOptions{Seed: 1}).ScheduleCSR(c, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.ValidateFlat(c, f); err != nil {
+		t.Fatal(err)
+	}
+	if got := flatDigest(t, f); got != want {
+		t.Fatalf("nil-arena flat digest %s, want %s", got, want)
+	}
+
+	var buf bytes.Buffer
+	if _, _, err := workload.WriteLayeredEdgeList(&buf, opts); err != nil {
+		t.Fatal(err)
+	}
+	a := dag.NewScaleArena()
+	h := NewHierarchical(HierOptions{Seed: 1, Arena: a})
+	for pass := 0; pass < 2; pass++ {
+		a.Reset()
+		c, err := dag.StreamEdgeListArena(bytes.NewReader(buf.Bytes()), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := h.ScheduleCSR(c, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := flatDigest(t, f); got != want {
+			t.Fatalf("arena pass %d: flat digest %s, want %s", pass, got, want)
+		}
+	}
+}
+
 // heapAfterGC returns the live heap after a forced collection — the
 // stage-boundary footprint, insensitive to garbage in flight.
 func heapAfterGC() uint64 {
@@ -228,9 +290,10 @@ var scaleStats = map[int]*scaleStat{}
 //     at stage boundaries) plus the splice's busy-time balance;
 //   - an untimed fresh-arena pass reports cold-allocs/node (Mallocs
 //     delta over the whole pipeline, generator included);
-//   - the timed loop runs the warm serving path — arena Reset, parse,
-//     schedule — after a warm-up pass and a forced GC, reporting ns/op,
-//     allocs/op and warm-allocs/node.
+//   - the timed loop runs the warm serving path — arena Reset, parse
+//     of the edge list rendered into memory before timing, schedule —
+//     after a warm-up pass and a forced GC, reporting ns/op, allocs/op
+//     and warm-allocs/node.
 //
 // bench.sh records all series into BENCH_scale.json (best-of-N for
 // time); bench_check.sh gates regressions and the absolute bounds.
@@ -249,16 +312,20 @@ func BenchmarkScale(b *testing.B) {
 				scaleStats[v] = st
 			}
 
-			// Warm serving path: fresh arena, one untimed cold pass to
-			// warm it, then the timed loop re-runs the same-shaped graph
-			// allocation-flat.
+			// Warm serving path: the edge list rendered into memory
+			// first, so the timed loop pays for parsing it and not for
+			// the generator's float formatting; then a fresh arena, one
+			// untimed cold pass to warm it, and the timed loop re-running
+			// the same-shaped graph allocation-flat.
+			var input bytes.Buffer
+			if _, _, err := workload.WriteLayeredEdgeList(&input, opts); err != nil {
+				b.Fatal(err)
+			}
 			arena := dag.NewScaleArena()
 			h := NewHierarchical(HierOptions{Seed: 1, Arena: arena})
 			runOnce := func() float64 {
 				arena.Reset()
-				r := layeredEdgeList(opts)
-				defer r.Close()
-				c, err := dag.StreamEdgeListArena(r, arena)
+				c, err := dag.StreamEdgeListArena(bytes.NewReader(input.Bytes()), arena)
 				if err != nil {
 					b.Fatal(err)
 				}

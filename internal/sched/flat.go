@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fastsched/internal/dag"
 )
@@ -85,9 +84,9 @@ func (f *Flat) ToSchedule() *Schedule {
 }
 
 // ValidateFlat checks that f is a legal execution of the graph c in
-// O(v log v + e): every node assigned a processor in range, durations
+// O(v + e + processors): every node assigned a processor in range, durations
 // matching the node weights, no overlap among positive-duration tasks
-// on a processor (checked by sorting each processor's tasks by start
+// on a processor (checked by ordering each processor's tasks by start
 // and scanning adjacent pairs — never the O(v²) all-pairs comparison),
 // and every precedence edge satisfied with communication charged when
 // the endpoints sit on different processors.
@@ -98,10 +97,13 @@ func ValidateFlat(c *dag.CSR, f *Flat) error {
 		return fmt.Errorf("sched: flat schedule sized %d/%d/%d, graph has %d nodes",
 			len(f.Assign), len(f.Start), len(f.Finish), v)
 	}
+	maxProc := int32(-1)
 	for n := 0; n < v; n++ {
-		if p := f.Assign[n]; p < 0 || int(p) >= f.Procs {
+		p := f.Assign[n]
+		if p < 0 || int(p) >= f.Procs {
 			return fmt.Errorf("sched: node %d on processor %d, have %d", n, p, f.Procs)
 		}
+		maxProc = max(maxProc, p)
 		if f.Start[n] < -eps || math.IsNaN(f.Start[n]) {
 			return fmt.Errorf("sched: node %d starts at %v", n, f.Start[n])
 		}
@@ -109,23 +111,29 @@ func ValidateFlat(c *dag.CSR, f *Flat) error {
 			return fmt.Errorf("sched: node %d duration %v != weight %v", n, d, c.NodeW[n])
 		}
 	}
-	// Exclusivity: sort node indices by (processor, start) and compare
-	// neighbours. Zero-duration tasks occupy no processor time and are
-	// exempt, matching Validate's contract.
-	order := make([]int32, v)
-	for i := range order {
-		order[i] = int32(i)
+	// Exclusivity: order node indices by (processor, start, index) and
+	// compare neighbours — a stable radix sort by start, then a stable
+	// counting scatter by processor, O(v + processors). Zero-duration
+	// tasks occupy no processor time and are exempt, matching
+	// Validate's contract.
+	byStart := make([]int32, v)
+	for i := range byStart {
+		byStart[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := order[a], order[b]
-		if f.Assign[na] != f.Assign[nb] {
-			return f.Assign[na] < f.Assign[nb]
-		}
-		if f.Start[na] != f.Start[nb] {
-			return f.Start[na] < f.Start[nb]
-		}
-		return na < nb
-	})
+	dag.SortByKey(byStart, f.Start, dag.Ascending, nil)
+	count := make([]int32, maxProc+2)
+	for _, p := range f.Assign {
+		count[p+1]++
+	}
+	for p := 1; p < len(count); p++ {
+		count[p] += count[p-1]
+	}
+	order := make([]int32, v)
+	for _, n := range byStart {
+		p := f.Assign[n]
+		order[count[p]] = n
+		count[p]++
+	}
 	prev := int32(-1)
 	for _, n := range order {
 		if f.Finish[n]-f.Start[n] <= eps {

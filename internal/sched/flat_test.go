@@ -105,8 +105,9 @@ func nan() float64 {
 
 // TestValidateFlatBig checks the validator's scaling contract
 // (satellite of the million-node path): a 10⁵-node layered schedule
-// must validate well inside a CI-friendly time budget — the sort-based
-// exclusivity check is O(v log v), never the all-pairs O(v²).
+// must validate well inside a CI-friendly time budget — the
+// exclusivity check is a linear radix sort and counting scatter, never
+// the all-pairs O(v²).
 func TestValidateFlatBig(t *testing.T) {
 	v := 100000
 	if s := os.Getenv("FASTSCHED_SCALE_V"); s != "" {
